@@ -68,7 +68,7 @@ func runServicePanel(objects, d int, pointDur time.Duration, seed int64, out str
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
 	defer hs.Close()
-	base := "http://" + ln.Addr().String()
+	base := "http://" + ln.Addr().String() + "/v1"
 	ctx := context.Background()
 
 	// Probe the mean admitted-join service time with a one-client closed

@@ -96,7 +96,8 @@ type Mix struct {
 
 // Config parameterizes one load run.
 type Config struct {
-	// BaseURL is the live server root, e.g. "http://127.0.0.1:8080".
+	// BaseURL is the live server's /v1 root, e.g.
+	// "http://127.0.0.1:8080/v1".
 	BaseURL string
 	// Seed makes the request schedule and key sequence deterministic.
 	Seed int64

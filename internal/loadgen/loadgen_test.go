@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,23 +136,39 @@ func TestScheduleShape(t *testing.T) {
 	}
 }
 
-// stubServer fakes just enough of mmdb serve for open-loop runner tests:
-// /stats reports the database shape, /lookup answers 200 after a fixed
-// service delay.
-func stubServer(t *testing.T, nr, d int, delay time.Duration) *httptest.Server {
+// stubServer fakes just enough of mmdb serve's /v1 surface for
+// open-loop runner tests and returns its base URL: /v1/stats reports
+// the database shape and the counters a served run would move,
+// /v1/lookup answers 200 after a fixed service delay, and /v1/join
+// answers 200 as an indexed store does when auto picks index-nl.
+func stubServer(t *testing.T, nr, d int, delay time.Duration) string {
 	t.Helper()
+	var joins, lookups atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("/stats", func(rw http.ResponseWriter, r *http.Request) {
-		st := service.Stats{DB: mstore.StoreStats{D: d, NR: nr, NS: nr}}
+	mux.HandleFunc("GET /v1/stats", func(rw http.ResponseWriter, r *http.Request) {
+		st := service.Stats{
+			DB: mstore.StoreStats{D: d, NR: nr, NS: nr},
+			Counters: map[string]int64{
+				"join_requests_total":    joins.Load(),
+				"join_executed_index-nl": joins.Load(),
+				"lookups_total":          lookups.Load(),
+				"lookups_ok":             lookups.Load(),
+			},
+		}
 		json.NewEncoder(rw).Encode(st)
 	})
-	mux.HandleFunc("/lookup", func(rw http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/lookup", func(rw http.ResponseWriter, r *http.Request) {
+		lookups.Add(1)
 		time.Sleep(delay)
 		rw.Write([]byte("{}"))
 	})
+	mux.HandleFunc("POST /v1/join", func(rw http.ResponseWriter, r *http.Request) {
+		joins.Add(1)
+		rw.Write([]byte(`{"algorithm":"index-nl"}`))
+	})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
-	return ts
+	return ts.URL + "/v1"
 }
 
 // TestOpenLoopCoordinatedOmissionSafe: with a 40ms server and a 1-wide
@@ -162,9 +179,8 @@ func stubServer(t *testing.T, nr, d int, delay time.Duration) *httptest.Server {
 // would record every request at ~40ms here.
 func TestOpenLoopCoordinatedOmissionSafe(t *testing.T) {
 	const delay = 40 * time.Millisecond
-	ts := stubServer(t, 1000, 4, delay)
 	cfg := Config{
-		BaseURL: ts.URL, Seed: 3, Mode: OpenPoisson,
+		BaseURL: stubServer(t, 1000, 4, delay), Seed: 3, Mode: OpenPoisson,
 		Rate: 100, Duration: 200 * time.Millisecond,
 		MaxInflight: 1,
 		Mix:         Mix{LookupFraction: 1},
@@ -191,14 +207,34 @@ func TestOpenLoopCoordinatedOmissionSafe(t *testing.T) {
 	}
 }
 
+// TestReconcileCountsIndexJoins: on an indexed store auto resolves to
+// index-nl, so the server counts those joins under
+// join_executed_index-nl, and the reconciliation must balance.
+func TestReconcileCountsIndexJoins(t *testing.T) {
+	cfg := Config{
+		BaseURL: stubServer(t, 2000, 4, 0), Seed: 5, Mode: OpenPoisson,
+		Rate: 400, Duration: 100 * time.Millisecond,
+		Mix: Mix{LookupFraction: 0.5, JoinAlgs: []string{"auto"}},
+	}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcomes["join.ok"] == 0 {
+		t.Fatal("no joins sent")
+	}
+	if !res.Reconciliation.OK {
+		t.Fatalf("reconciliation failed: %v", res.Reconciliation.Problems)
+	}
+}
+
 // TestRunDeterministicRequestSequence: two runs with the same seed
 // against a stub send the identical (endpoint, key, algorithm) sequence
 // — asserted via the schedule the runner derives, and end-to-end by the
 // per-endpoint totals.
 func TestRunDeterministicRequestSequence(t *testing.T) {
-	ts := stubServer(t, 2000, 4, 0)
 	cfg := Config{
-		BaseURL: ts.URL, Seed: 11, Mode: OpenPoisson,
+		BaseURL: stubServer(t, 2000, 4, 0), Seed: 11, Mode: OpenPoisson,
 		Rate: 400, Duration: 250 * time.Millisecond,
 		Mix: Mix{LookupFraction: 0.5},
 	}

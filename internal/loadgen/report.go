@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"mmjoin/internal/service"
 )
@@ -51,11 +52,14 @@ func Reconcile(before, after service.Stats, res *Result) Reconciliation {
 
 	joinOKServer := int64(0)
 	// Every executed join lands in a join_executed_* counter: single
-	// stores resolve auto to a concrete algorithm first, while a sharded
-	// store counts planner-routed requests under join_executed_auto
-	// (each shard may pick a different algorithm).
-	for _, alg := range DefaultJoinAlgs {
-		joinOKServer += delta(before, after, "join_executed_"+alg)
+	// stores resolve auto to a concrete algorithm first — index-nl or
+	// index-merge on an indexed store — while a sharded store counts
+	// planner-routed requests under join_executed_auto (each shard may
+	// pick a different algorithm). Sum whatever the server reports.
+	for name := range after.Counters {
+		if strings.HasPrefix(name, "join_executed_") {
+			joinOKServer += delta(before, after, name)
+		}
 	}
 	rec := Reconciliation{Checks: []Check{
 		{"join attempts == join_requests_total", joinAttempts, delta(before, after, "join_requests_total")},

@@ -181,7 +181,7 @@ func TestSoakSustainedMixedTraffic(t *testing.T) {
 	mon := startMonitor(env.srv)
 
 	res, err := Run(context.Background(), Config{
-		BaseURL:   env.ts.URL,
+		BaseURL:   env.ts.URL + "/v1",
 		Seed:      101,
 		Mode:      Closed,
 		Duration:  soakDuration(),
@@ -243,7 +243,7 @@ func TestSoakDrainMidLoad(t *testing.T) {
 	defer timer.Stop()
 
 	res, err := Run(context.Background(), Config{
-		BaseURL:   env.ts.URL,
+		BaseURL:   env.ts.URL + "/v1",
 		Seed:      202,
 		Mode:      Closed,
 		Duration:  dur,

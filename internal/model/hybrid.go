@@ -56,9 +56,8 @@ func PredictHybridHash(c Calibration, in Inputs) (*Prediction, error) {
 	rsi := q.ri * in.Skew
 
 	f0, k, tsize := hybridPlan(c, in, rsi, q.sj)
-	passes := radixPasses(k, in.RadixBits)
-	kEff := min(k, 1<<in.RadixBits) // per-pass fan-out (see PredictGrace)
-	over := 1 - f0                  // overflow fraction
+	kEff := min(k, maxBuckets) // the executor's scatter fan-out (see PredictGrace)
+	over := 1 - f0             // overflow fraction
 	prpi := pages(rpi*float64(in.R), c.B)
 	prsi := pages(over*rsi*float64(in.R), c.B)
 	priiOver := pages(over*rii*float64(in.R), c.B)
@@ -91,15 +90,6 @@ func PredictHybridHash(c Calibration, in Inputs) (*Prediction, error) {
 		fill1 := 1 / (float64(c.B) / float64(in.R))
 		thrash1 := GraceThrash(int(over*rpi), kEff, int(q.frames), 1, fill1)
 		p.add("pass1 thrash", sim.Time(thrash1*(c.DTTR.Eval(band1)+c.DTTW.Eval(band1))))
-		// Extra radix passes on the overflow portion (see PredictGrace);
-		// zero when the overflow bucket count fits one pass's fan-out.
-		if passes > 1 {
-			extra := float64(passes - 1)
-			p.add("radix pass io", sim.Time(extra*(prsi*c.DTTR.Eval(band1)+
-				(prsi+float64(kEff))*c.DTTW.Eval(band1))))
-			p.add("radix pass cpu", sim.Time(extra*over*rsi)*c.Hash+
-				sim.Time(extra*over*rsi*float64(in.R)*c.MTpp))
-		}
 	}
 
 	// Probe: overflow buckets and the corresponding (1−f0)·PSi suffix.

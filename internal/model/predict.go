@@ -31,14 +31,6 @@ type Inputs struct {
 	K, TSize int
 	Fuzz     float64
 
-	// RadixBits bounds the per-pass fan-out of the executor's radix
-	// partitioning (mstore.JoinRequest.RadixBits): scatter passes write
-	// to at most 2^RadixBits destinations, so K beyond that reach costs
-	// extra partitioning passes. Zero selects the executor's default
-	// (8); the term is exactly zero whenever K ≤ 2^RadixBits, which
-	// keeps every paper-conformance prediction (K ≤ 256) untouched.
-	RadixBits int
-
 	// IndexFanout is the per-node key capacity of the store's persistent
 	// B-tree indexes, used by the index-path predictions. Zero selects
 	// the executor's 4 KiB-node capacity (253 keys; see
@@ -73,15 +65,6 @@ func (in *Inputs) withDefaults(c Calibration) error {
 	if in.Fuzz == 0 {
 		in.Fuzz = 1.2
 	}
-	if in.RadixBits < 0 {
-		return fmt.Errorf("model: negative radix bits %d", in.RadixBits)
-	}
-	if in.RadixBits == 0 {
-		in.RadixBits = 8
-	}
-	if in.RadixBits > 16 {
-		in.RadixBits = 16
-	}
 	if in.IndexFanout < 0 {
 		return fmt.Errorf("model: negative index fanout %d", in.IndexFanout)
 	}
@@ -91,19 +74,12 @@ func (in *Inputs) withDefaults(c Calibration) error {
 	return nil
 }
 
-// radixPasses mirrors the executor's radixPlan (internal/mstore): the
-// fewest scatter passes of at most 2^bits destinations each that reach
-// a k-way fan-out. The two must agree exactly for the partitioning-pass
-// term to be honest; both are pinned by tests against the same cases.
-func radixPasses(k, bits int) int {
-	maxFan := int64(1) << bits
-	passes := 1
-	for reach, span := maxFan, int64(1); reach < int64(k) && span < 1<<40; reach *= maxFan {
-		passes++
-		span *= maxFan
-	}
-	return passes
-}
+// maxBuckets mirrors the executor's bucket cap (mstore.MaxBuckets): a
+// real-store scatter never writes to more than this many buckets per S
+// partition, so the urn-model thrash terms see min(K, maxBuckets)
+// destinations. The model keeps the paper's K everywhere else — the
+// simulator runs it uncapped.
+const maxBuckets = 256
 
 // Component is one named term of a prediction.
 type Component struct {
@@ -395,11 +371,7 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	prsi := pages(rsi*float64(in.R), c.B)
 
 	k, tsize := gracePlan(in, rsi)
-	passes := radixPasses(k, in.RadixBits)
-	// A radix scatter pass never targets more than 2^RadixBits
-	// destinations at once, so the urn-model thrash terms see the
-	// per-pass fan-out, not the full K.
-	kEff := min(k, 1<<in.RadixBits)
+	kEff := min(k, maxBuckets) // the executor's scatter fan-out
 	p := &Prediction{K: k, TSize: tsize}
 
 	// Setup: Ri, Si opened; RSi+RPi created; RSi re-opened for pass 1+j.
@@ -428,21 +400,6 @@ func PredictGrace(c Calibration, in Inputs) (*Prediction, error) {
 	fill1 := 1 / (float64(c.B) / float64(in.R))
 	thrash1 := GraceThrash(int(rpi), kEff, int(q.frames), 1, fill1)
 	p.add("pass1 thrash", sim.Time(thrash1*(c.DTTR.Eval(band1)+c.DTTW.Eval(band1))))
-
-	// Extra radix passes: once K exceeds the 2^RadixBits per-pass reach,
-	// the partitioner re-reads and re-scatters every spilled reference
-	// (passes−1) more times — each pass a sequential re-read plus a
-	// rewrite of the RSi spill and up to kEff partial destination pages,
-	// plus one more bucket-hash and move per reference. This is the price
-	// paid for the capped fan-out the thrash terms above benefit from;
-	// the component is exactly zero when K ≤ 2^RadixBits.
-	if passes > 1 {
-		extra := float64(passes - 1)
-		p.add("radix pass io", sim.Time(extra*(prsi*c.DTTR.Eval(band1)+
-			(prsi+float64(kEff))*c.DTTW.Eval(band1))))
-		p.add("radix pass cpu", sim.Time(extra*rsi)*c.Hash+
-			sim.Time(extra*rsi*float64(in.R)*c.MTpp))
-	}
 
 	// Pass 1+j: read each bucket and the corresponding Si range; the
 	// band approximates half the objects resident in the hash table.

@@ -66,9 +66,11 @@ type GrantNegotiator interface {
 // are atomics so concurrently probing morsels record without locks; a
 // server folds them into its /stats counters after the join.
 type JoinTelemetry struct {
-	// TempFiles counts temporary relations actually created — with lazy
-	// bucket materialization this is the number of non-empty buckets,
-	// not D·K.
+	// TempFiles counts temporary relations actually created: RP
+	// sub-partitions (nested loops), RS and SRT partitions (sort-merge),
+	// and buckets plus restage sub-buckets (Grace, hybrid-hash). With
+	// lazy bucket materialization the buckets count only the non-empty
+	// ones, not D·K.
 	TempFiles atomic.Int64
 	// Restages counts oversized buckets re-partitioned into disk
 	// sub-buckets; RestagedRefs the references rewritten doing so.
@@ -87,8 +89,9 @@ type JoinTelemetry struct {
 	// probe memory (counted bytes). The grant-bound invariant is
 	// PeakTableBytes ≤ grant + ExtraGrantBytes.
 	PeakTableBytes atomic.Int64
-	// RadixPasses is the partitioning pass count the bucketed joins
-	// chose (radixPlan): 1 until K exceeds 2^RadixBits.
+	// RadixPasses is the scatter pass count of the bucketed joins,
+	// always 1 since K is capped at MaxBuckets; Grace and hybrid-hash
+	// still set it because the benchmark's per-layer trace reads it.
 	RadixPasses atomic.Int64
 }
 

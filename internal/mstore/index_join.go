@@ -31,15 +31,15 @@ import (
 // indexFootprint is the counted bytes of one worker's index-join state:
 // a probe batch (8 B rid + 12 B pointer per slot, padded) plus cursor
 // state.
-func indexFootprint(workers, batch int) int64 {
-	return int64(workers) * (int64(batch)*24 + 64)
+func indexFootprint(workers int) int64 {
+	return int64(workers) * (GatherWidth*24 + 64)
 }
 
 // IndexNL runs the index-nested-loop join on an ephemeral
 // GOMAXPROCS-sized pool (the store must have indexes attached).
 func (db *DB) IndexNL() (JoinStats, error) {
 	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.indexNL(context.Background(), p, kernelConfig{}, newMemLimiter(0, nil, nil))
+		return db.indexNL(context.Background(), p, newMemLimiter(0, nil, nil))
 	})
 }
 
@@ -48,13 +48,12 @@ func (db *DB) IndexNL() (JoinStats, error) {
 // and probed through S's per-partition B-tree — a real root-to-leaf
 // descent per object, the cost the analytical model's index-probe term
 // prices.
-func (db *DB) indexNL(ctx context.Context, p *exec.Pool, kc kernelConfig, lim *memLimiter) (JoinStats, error) {
+func (db *DB) indexNL(ctx context.Context, p *exec.Pool, lim *memLimiter) (JoinStats, error) {
 	if !db.HasIndexes() {
 		return JoinStats{}, fmt.Errorf("mstore: index-nl needs attached indexes (run BuildIndexes or mmdb index)")
 	}
-	kc = kc.withDefaults()
-	kern := newJoinKernel(db, kc)
-	if need := indexFootprint(p.Workers(), kc.probeBatch); lim.reserve(need) {
+	kern := newJoinKernel(db)
+	if need := indexFootprint(p.Workers()); lim.reserve(need) {
 		// A fixed O(workers) footprint: if the grant cannot cover it there
 		// is nothing to shrink or restage, so an unreservable bite just
 		// runs unmetered rather than failing the join.
@@ -90,7 +89,7 @@ func (db *DB) indexNL(ctx context.Context, p *exec.Pool, kc kernelConfig, lim *m
 // GOMAXPROCS-sized pool (the store must have indexes attached).
 func (db *DB) IndexMerge() (JoinStats, error) {
 	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.indexMerge(context.Background(), p, kernelConfig{}, newMemLimiter(0, nil, nil))
+		return db.indexMerge(context.Background(), p, newMemLimiter(0, nil, nil))
 	})
 }
 
@@ -101,13 +100,12 @@ func (db *DB) IndexMerge() (JoinStats, error) {
 // space exactly, every morsel's output is disjoint and the fold is the
 // usual commutative sum — no global merge phase, no barrier between
 // cells (MPSM's shape on persistent indexes).
-func (db *DB) indexMerge(ctx context.Context, p *exec.Pool, kc kernelConfig, lim *memLimiter) (JoinStats, error) {
+func (db *DB) indexMerge(ctx context.Context, p *exec.Pool, lim *memLimiter) (JoinStats, error) {
 	if !db.HasIndexes() {
 		return JoinStats{}, fmt.Errorf("mstore: index-merge needs attached indexes (run BuildIndexes or mmdb index)")
 	}
-	kc = kc.withDefaults()
-	kern := newJoinKernel(db, kc)
-	if need := indexFootprint(p.Workers(), kc.probeBatch); lim.reserve(need) {
+	kern := newJoinKernel(db)
+	if need := indexFootprint(p.Workers()); lim.reserve(need) {
 		defer lim.release(need)
 	}
 	stats := newPerWorker(p)

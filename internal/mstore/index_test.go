@@ -95,7 +95,7 @@ func TestIndexJoinGrantMetered(t *testing.T) {
 			if got != want {
 				t.Errorf("%v/grant=%d: stats %+v, want %+v", alg, grant, got, want)
 			}
-			if grant >= indexFootprint(2, defaultProbeBatch) && tel.PeakTableBytes.Load() == 0 {
+			if grant >= indexFootprint(2) && tel.PeakTableBytes.Load() == 0 {
 				t.Errorf("%v/grant=%d: no peak bytes recorded", alg, grant)
 			}
 		}

@@ -2,11 +2,9 @@ package mstore
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync/atomic"
 
 	"mmjoin/internal/exec"
@@ -28,21 +26,8 @@ import (
 // and under any steal schedule.
 //
 // The inner loops themselves live in the kernel layer (kernel*.go):
-// batched pointer dereference, flat arena-backed probe tables, and
-// multi-pass radix partitioning, all gated on bit-identical
-// Pairs/Signature against the reference loops kept here (joinOne,
-// probeBucketMap).
-
-// joinOne dereferences one R object's stored pointer through the
-// mapping and folds the pair into st — the scalar reference kernel the
-// batched joinKernel is gated against.
-func (db *DB) joinOne(obj []byte, st *JoinStats) {
-	ptr := DecodeSPtr(obj)
-	s := db.S[ptr.Part].At(ptr.Off)
-	st.Pairs++
-	st.Signature += pairHash(binary.LittleEndian.Uint64(obj[ridOffset:]),
-		binary.LittleEndian.Uint64(s))
-}
+// batched pointer dereference and flat arena-backed probe tables, both
+// gated on bit-identical Pairs/Signature against ExpectedStats.
 
 // morselObjs is the fixed morsel size: the number of objects one
 // work-stealing task covers. Around 4k objects a morsel is a few
@@ -166,8 +151,8 @@ func (db *DB) tmpRelation(dir, name string, capacity int) (*Relation, error) {
 	capacity = max(capacity, 1)
 	path := filepath.Join(dir, name)
 	// Temp names must be unique within a join: Create truncates, so a
-	// colliding name would silently corrupt a live temporary (a real bug
-	// the multi-pass naming scheme once had) instead of failing.
+	// colliding name would silently corrupt a live temporary instead of
+	// failing.
 	if _, err := os.Lstat(path); err == nil {
 		return nil, fmt.Errorf("mstore: temp relation name collision: %s", path)
 	}
@@ -182,7 +167,7 @@ func (db *DB) tmpRelation(dir, name string, capacity int) (*Relation, error) {
 // the mapped store on an ephemeral GOMAXPROCS-sized pool.
 func (db *DB) NestedLoops(tmpDir string) (JoinStats, error) {
 	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.nestedLoops(context.Background(), p, tmpDir, kernelConfig{})
+		return db.nestedLoops(context.Background(), p, tmpDir, newMemLimiter(0, nil, nil))
 	})
 }
 
@@ -190,12 +175,13 @@ func (db *DB) NestedLoops(tmpDir string) (JoinStats, error) {
 // references immediately through the batched kernel and
 // sub-partitioning the rest into temporary RP<i,j> relations; pass 1
 // probes the sub-partitions in the paper's staggered phase order (§5.1).
-func (db *DB) nestedLoops(ctx context.Context, p *exec.Pool, tmpDir string, kc kernelConfig) (JoinStats, error) {
+// lim only counts the temp relations: nested loops builds no tables.
+func (db *DB) nestedLoops(ctx context.Context, p *exec.Pool, tmpDir string, lim *memLimiter) (JoinStats, error) {
 	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
 		return JoinStats{}, err
 	}
 	d := db.D
-	kern := newJoinKernel(db, kc.withDefaults())
+	kern := newJoinKernel(db)
 	// Measured pointer distribution: counts[i][j] sizes RP<i,j> exactly.
 	// (The former sizing at |Ri| wrote D−1 full-size files per
 	// partition.) The Appender grows on overflow, so the measure is a
@@ -224,6 +210,7 @@ func (db *DB) nestedLoops(ctx context.Context, p *exec.Pool, tmpDir string, kc k
 			if err != nil {
 				return JoinStats{}, err
 			}
+			lim.tel.TempFiles.Add(1)
 			rp[i][j] = NewAppender(rel)
 		}
 	}
@@ -285,7 +272,7 @@ func (db *DB) nestedLoops(ctx context.Context, p *exec.Pool, tmpDir string, kc k
 // ephemeral GOMAXPROCS-sized pool.
 func (db *DB) SortMerge(tmpDir string) (JoinStats, error) {
 	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.sortMerge(context.Background(), p, tmpDir, kernelConfig{})
+		return db.sortMerge(context.Background(), p, tmpDir, newMemLimiter(0, nil, nil))
 	})
 }
 
@@ -315,13 +302,13 @@ func sortSplitCount(workers, d, count int) int {
 // scatter morsel enqueues j's sort+probe splits. A small partition
 // sorts and probes while a large one is still counting — under skew the
 // former global barriers idled every worker on the largest partition
-// three times.
-func (db *DB) sortMerge(ctx context.Context, p *exec.Pool, tmpDir string, kc kernelConfig) (JoinStats, error) {
+// three times. lim only counts the temp relations.
+func (db *DB) sortMerge(ctx context.Context, p *exec.Pool, tmpDir string, lim *memLimiter) (JoinStats, error) {
 	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
 		return JoinStats{}, err
 	}
 	d := db.D
-	kern := newJoinKernel(db, kc.withDefaults())
+	kern := newJoinKernel(db)
 	counts, err := db.refCounts(ctx, p)
 	if err != nil {
 		return JoinStats{}, err
@@ -350,6 +337,7 @@ func (db *DB) sortMerge(ctx context.Context, p *exec.Pool, tmpDir string, kc ker
 		if err != nil {
 			return JoinStats{}, err
 		}
+		lim.tel.TempFiles.Add(1)
 		rs[j] = NewAppender(rel)
 	}
 	var tasks []exec.Task
@@ -468,6 +456,7 @@ func (db *DB) sortMerge(ctx context.Context, p *exec.Pool, tmpDir string, kc ker
 				if err != nil {
 					return err
 				}
+				lim.tel.TempFiles.Add(1)
 				dst.SetCount(n)
 				srt[j] = dst
 				var sc []exec.Task
@@ -514,20 +503,20 @@ func permuteRange(rel *Relation, lo int, handles []int32) {
 }
 
 // Grace runs the parallel pointer-based Grace join on an ephemeral
-// GOMAXPROCS-sized pool with no probe-memory bound.
+// GOMAXPROCS-sized pool with no probe-memory bound. k is clamped like
+// JoinRequest.K.
 func (db *DB) Grace(tmpDir string, k int) (JoinStats, error) {
 	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.grace(context.Background(), p, tmpDir, k, kernelConfig{}, newMemLimiter(0, nil, nil))
+		return db.grace(context.Background(), p, tmpDir, min(k, db.maxK()), newMemLimiter(0, nil, nil))
 	})
 }
 
 // grace: the scan hashes every R object into one of k order-preserving
-// buckets per S partition — multi-pass radix partitioning when k
-// exceeds the per-pass fan-out (see bucketedJoin) — then every
-// (partition, bucket) pair probes independently through the flat-table
-// kernel. Probe memory is metered by lim; oversized buckets restage or
-// stream (see probeEnv) instead of overshooting the grant.
-func (db *DB) grace(ctx context.Context, p *exec.Pool, tmpDir string, k int, kc kernelConfig, lim *memLimiter) (JoinStats, error) {
+// buckets per S partition (see bucketedJoin), then every (partition,
+// bucket) pair probes independently through the flat-table kernel.
+// Probe memory is metered by lim; oversized buckets restage or stream
+// (see probeEnv) instead of overshooting the grant.
+func (db *DB) grace(ctx context.Context, p *exec.Pool, tmpDir string, k int, lim *memLimiter) (JoinStats, error) {
 	if k < 1 {
 		return JoinStats{}, fmt.Errorf("mstore: Grace needs k >= 1, got %d", k)
 	}
@@ -535,7 +524,7 @@ func (db *DB) grace(ctx context.Context, p *exec.Pool, tmpDir string, k int, kc 
 		return JoinStats{}, err
 	}
 	bj := &bucketedJoin{
-		db: db, tmpDir: tmpDir, prefix: "gr", k: k, kc: kc.withDefaults(), lim: lim,
+		db: db, tmpDir: tmpDir, prefix: "gr", k: k, lim: lim,
 		// The order-preserving hash: bucket by position of the S offset
 		// within the partition's data area.
 		bucketOf: func(ptr SPtr) int {
@@ -544,28 +533,6 @@ func (db *DB) grace(ctx context.Context, p *exec.Pool, tmpDir string, k int, kc 
 		},
 	}
 	return bj.run(ctx, p)
-}
-
-// probeBucketMap joins one bucket through the original per-bucket Go
-// map. It is the reference kernel the flat table is gated against
-// (TestKernelFlatMatchesMap) and the "map" baseline of the bench
-// kernels panel; the joins themselves always use probeFlat.
-func (db *DB) probeBucketMap(rel *Relation, st *JoinStats) {
-	table := make(map[Ptr][]int, rel.Count())
-	for x := 0; x < rel.Count(); x++ {
-		off := DecodeSPtr(rel.Object(x)).Off
-		table[off] = append(table[off], x)
-	}
-	offs := make([]Ptr, 0, len(table))
-	for off := range table {
-		offs = append(offs, off)
-	}
-	sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
-	for _, off := range offs {
-		for _, x := range table[off] {
-			db.joinOne(rel.Object(x), st)
-		}
-	}
 }
 
 // tableBytesFor is the counted footprint of one bucket's flat probe
@@ -740,19 +707,19 @@ func (e *probeEnv) streamProbe(rel *Relation, st *JoinStats) error {
 }
 
 // HybridHash runs the parallel pointer-based hybrid-hash join on an
-// ephemeral GOMAXPROCS-sized pool with no probe-memory bound.
+// ephemeral GOMAXPROCS-sized pool with no probe-memory bound. k is
+// clamped like JoinRequest.K.
 func (db *DB) HybridHash(tmpDir string, k int, residentFrac float64) (JoinStats, error) {
 	return ephemeralPool(func(p *exec.Pool) (JoinStats, error) {
-		return db.hybridHash(context.Background(), p, tmpDir, k, residentFrac, kernelConfig{}, newMemLimiter(0, nil, nil))
+		return db.hybridHash(context.Background(), p, tmpDir, min(k, db.maxK()), residentFrac, newMemLimiter(0, nil, nil))
 	})
 }
 
 // hybridHash: references into a resident prefix of each S partition
 // (residentFrac of its objects) join immediately during the scan
 // morsels and never touch temporary storage; the remainder goes through
-// Grace-style ordered buckets (radix-partitioned like grace), probed
-// under lim's memory grant.
-func (db *DB) hybridHash(ctx context.Context, p *exec.Pool, tmpDir string, k int, residentFrac float64, kc kernelConfig, lim *memLimiter) (JoinStats, error) {
+// Grace-style ordered buckets, probed under lim's memory grant.
+func (db *DB) hybridHash(ctx context.Context, p *exec.Pool, tmpDir string, k int, residentFrac float64, lim *memLimiter) (JoinStats, error) {
 	if k < 1 {
 		return JoinStats{}, fmt.Errorf("mstore: HybridHash needs k >= 1, got %d", k)
 	}
@@ -768,7 +735,7 @@ func (db *DB) hybridHash(ctx context.Context, p *exec.Pool, tmpDir string, k int
 		residentUpTo[j] = int(residentFrac * float64(db.S[j].Count()))
 	}
 	bj := &bucketedJoin{
-		db: db, tmpDir: tmpDir, prefix: "hh", k: k, kc: kc.withDefaults(), lim: lim,
+		db: db, tmpDir: tmpDir, prefix: "hh", k: k, lim: lim,
 		bucketOf: func(ptr SPtr) int {
 			rel := db.S[ptr.Part]
 			lo := residentUpTo[ptr.Part]

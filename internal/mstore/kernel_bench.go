@@ -5,12 +5,9 @@ import "fmt"
 // BucketSet materializes a database's Grace buckets once so the probe
 // stage can be driven — and timed — in isolation, bucket partitioning
 // excluded. cmd/bench's kernels panel and the go-bench suite probe one
-// BucketSet repeatedly through both kernels (flat table at several
-// batch widths, legacy map) and compare ns-per-pair and allocs-per-pair
-// on identical inputs; the Signature equality between the two is also
-// the differential gate TestKernelFlatMatchesMap asserts.
+// BucketSet repeatedly and report ns-per-pair and allocs-per-pair;
+// TestKernelFlatMatchesExpected checks its Signature.
 type BucketSet struct {
-	db    *DB
 	rels  []*Relation
 	refs  int64
 	kern  *joinKernel
@@ -40,7 +37,7 @@ func (db *DB) BuildGraceBuckets(tmpDir string, k int) (*BucketSet, error) {
 			counts[ptr.Part][bucketOf(ptr)]++
 		}
 	}
-	bs := &BucketSet{db: db, kern: newJoinKernel(db, kernelConfig{}.withDefaults())}
+	bs := &BucketSet{kern: newJoinKernel(db)}
 	rels := make([][]*Relation, d)
 	for j := 0; j < d; j++ {
 		rels[j] = make([]*Relation, k)
@@ -78,27 +75,13 @@ func (bs *BucketSet) Buckets() int { return len(bs.rels) }
 // pass folds exactly this many pairs.
 func (bs *BucketSet) Refs() int64 { return bs.refs }
 
-// ProbeFlat probes every bucket through the flat arena-backed table at
-// the given batch width (0 selects the default) and returns the folded
-// stats. After the first call the arena has reached its high-water
-// capacity and subsequent calls allocate nothing.
-func (bs *BucketSet) ProbeFlat(batch int) JoinStats {
-	old := bs.kern.batch
-	bs.kern.batch = kernelConfig{probeBatch: batch}.withDefaults().probeBatch
+// ProbeFlat probes every bucket through the flat arena-backed table and
+// returns the folded stats. After the first call the arena has reached
+// its high-water capacity and subsequent calls allocate nothing.
+func (bs *BucketSet) ProbeFlat() JoinStats {
 	var st JoinStats
 	for _, rel := range bs.rels {
 		bs.kern.probeFlat(&bs.arena, rel, &st)
-	}
-	bs.kern.batch = old
-	return st
-}
-
-// ProbeMap probes every bucket through the legacy per-bucket Go map —
-// the baseline the flat kernel is measured and gated against.
-func (bs *BucketSet) ProbeMap() JoinStats {
-	var st JoinStats
-	for _, rel := range bs.rels {
-		bs.db.probeBucketMap(rel, &st)
 	}
 	return st
 }

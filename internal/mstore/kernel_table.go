@@ -99,9 +99,8 @@ func siftKeyedHeads(keys []Ptr, heads []int32, root, n int) {
 // offset; the sweep orders the distinct offsets ascending so each S
 // object is read once, sequentially; the probe runs in batches — the
 // gather loop issues a batch of S-side reads back-to-back before the
-// fold loop walks each offset's chain. Chain order within a key differs
-// from the old map kernel (prepend vs append), which the commutative
-// Signature fold makes invisible.
+// fold loop walks each offset's chain. Chains are built by prepending;
+// the commutative Signature fold makes that order invisible.
 func (k *joinKernel) probeFlat(a *probeArena, rel *Relation, st *JoinStats) {
 	n := rel.Count()
 	if n == 0 {
@@ -154,11 +153,10 @@ func (k *joinKernel) probeFlat(a *probeArena, rel *Relation, st *JoinStats) {
 	// Every reference in a bucket names one S partition; read it off the
 	// first record.
 	sview := k.sv[binary.LittleEndian.Uint32(view[base:])]
-	batch := k.batch
 	pairs := int64(0)
-	var sw [maxProbeBatch]uint64
-	for lo := 0; lo < distinct; lo += batch {
-		hi := min(lo+batch, distinct)
+	var sw [GatherWidth]uint64
+	for lo := 0; lo < distinct; lo += GatherWidth {
+		hi := min(lo+GatherWidth, distinct)
 		for i := lo; i < hi; i++ { // gather
 			sw[i-lo] = binary.LittleEndian.Uint64(sview[dkeys[i]:])
 		}

@@ -1,6 +1,8 @@
 package mstore
 
 import (
+	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -8,13 +10,10 @@ import (
 	"mmjoin/internal/join"
 )
 
-// TestKernelSignatureGrid is the property grid gating the kernel
-// rewrite: every algorithm × radix bits {4, 8, 12} × batch width
-// {1, 16, 64} × worker count {1, 2, GOMAXPROCS} × corpus {uniform,
+// TestKernelSignatureGrid is the property grid gating the kernels:
+// every algorithm × worker count {1, 2, GOMAXPROCS} × corpus {uniform,
 // Zipf hot-key} must produce Pairs/Signature bit-identical to the
-// store's independently computed ground truth. K=40 covers both
-// single-pass partitioning (8 and 12 bits) and two-pass (4 bits);
-// deeper pass counts are TestKernelMultiPassDeep's job.
+// store's independently computed ground truth.
 func TestKernelSignatureGrid(t *testing.T) {
 	algs := []join.Algorithm{join.NestedLoops, join.SortMerge, join.Grace, join.HybridHash}
 	corpora := map[string]func(*testing.T, int) *DB{
@@ -23,35 +22,17 @@ func TestKernelSignatureGrid(t *testing.T) {
 	}
 	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for name, mk := range corpora {
-		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			db := mk(t, 6000)
 			want := db.ExpectedStats()
-			for _, bits := range []int{4, 8, 12} {
-				for _, batch := range []int{1, 16, 64} {
-					for _, w := range workers {
-						for _, alg := range algs {
-							// K and radix bits only reach the bucketed
-							// joins; run the other two once per
-							// batch/worker point.
-							if (alg == join.NestedLoops || alg == join.SortMerge) && bits != 4 {
-								continue
-							}
-							got, err := db.Run(JoinRequest{
-								Algorithm:  alg,
-								K:          40,
-								RadixBits:  bits,
-								ProbeBatch: batch,
-								Workers:    w,
-							})
-							if err != nil {
-								t.Fatalf("%v bits=%d batch=%d w=%d: %v", alg, bits, batch, w, err)
-							}
-							if got != want {
-								t.Fatalf("%v bits=%d batch=%d w=%d: got %+v want %+v",
-									alg, bits, batch, w, got, want)
-							}
-						}
+			for _, w := range workers {
+				for _, alg := range algs {
+					got, err := db.Run(JoinRequest{Algorithm: alg, K: 40, Workers: w})
+					if err != nil {
+						t.Fatalf("%v w=%d: %v", alg, w, err)
+					}
+					if got != want {
+						t.Fatalf("%v w=%d: got %+v want %+v", alg, w, got, want)
 					}
 				}
 			}
@@ -59,28 +40,67 @@ func TestKernelSignatureGrid(t *testing.T) {
 	}
 }
 
-// TestKernelMultiPassDeep drives the partitioning through three radix
-// passes (K=300 at 4 bits; 2 passes at 8) on both corpora — the regime
-// where intermediate scatter files are created, refined, and deleted
-// inside the probe tasks.
-func TestKernelMultiPassDeep(t *testing.T) {
-	for _, mk := range []func(*testing.T, int) *DB{makeDB, zipfDB} {
-		db := mk(t, 4000)
+// TestKernelBucketCap drives the bucketed joins past the bucket cap: an
+// explicit K=600 and a K the MRproc rule derives above 256, both
+// clamped, across worker counts and corpora, with and without a grant
+// tight enough to restage. The scatter is one pass into at most 256
+// buckets per S partition, so an unbounded join creates at most D·256
+// temp files; the scatter does not depend on the grant, so that count
+// is also the granted leg's first pass, whose restages keep the peak
+// within the grant.
+func TestKernelBucketCap(t *testing.T) {
+	// Tables of buckets holding 7 or more references exceed it.
+	const grant = 256
+	// 1200 references per S partition: uncapped at K=600, most of the
+	// 600 buckets would be non-empty, well past 256 files per partition.
+	capDB := func() *DB {
+		db, err := CreateDB(filepath.Join(t.TempDir(), "db"), 2, 2400, 2400, 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	corpora := map[string]*DB{"uniform": capDB(), "zipf": hotKeyHalf(capDB())}
+	for name, db := range corpora {
 		want := db.ExpectedStats()
+		// 1.2·|R|/D·r/MRproc = 1.2·1200·64/256 = 360 buckets before the cap.
+		ks := []JoinRequest{{K: 600}, {MRproc: 256}}
 		for _, alg := range []join.Algorithm{join.Grace, join.HybridHash} {
-			for _, bits := range []int{4, 8} {
+			for _, kreq := range ks {
 				for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-					got, err := db.Run(JoinRequest{
-						Algorithm: alg,
-						K:         300,
-						RadixBits: bits,
-						Workers:   w,
-					})
-					if err != nil {
-						t.Fatalf("%v bits=%d w=%d: %v", alg, bits, w, err)
-					}
-					if got != want {
-						t.Fatalf("%v bits=%d w=%d: got %+v want %+v", alg, bits, w, got, want)
+					for _, memGrant := range []int64{-1, grant} {
+						tel := &JoinTelemetry{}
+						req := kreq
+						req.Algorithm, req.Workers, req.MemGrant, req.Telemetry = alg, w, memGrant, tel
+						req.ResidentFrac = -1
+						at := fmt.Sprintf("%s %v K=%d MRproc=%d w=%d grant=%d",
+							name, alg, kreq.K, kreq.MRproc, w, memGrant)
+						got, err := db.Run(req)
+						if err != nil {
+							t.Fatalf("%s: %v", at, err)
+						}
+						if got != want {
+							t.Fatalf("%s: got %+v want %+v", at, got, want)
+						}
+						if passes := tel.RadixPasses.Load(); passes != 1 {
+							t.Fatalf("%s: %d scatter passes", at, passes)
+						}
+						if memGrant < 0 {
+							if r := tel.Restages.Load(); r != 0 {
+								t.Fatalf("%s: %d restages without a grant", at, r)
+							}
+							if files := tel.TempFiles.Load(); files > int64(db.D*256) {
+								t.Fatalf("%s: %d first-pass temp files exceed D·256", at, files)
+							}
+							continue
+						}
+						if tel.Restages.Load() == 0 {
+							t.Fatalf("%s: nothing restaged under the grant", at)
+						}
+						if peak := tel.PeakTableBytes.Load(); peak > grant {
+							t.Fatalf("%s: peak %d exceeds grant %d", at, peak, grant)
+						}
 					}
 				}
 			}
@@ -88,42 +108,69 @@ func TestKernelMultiPassDeep(t *testing.T) {
 	}
 }
 
-// TestKernelGridUnderGrant re-runs a slice of the grid with a grant
+// TestKernelMultiPassDeep drives the bucketed joins at K=300, the depth
+// that once took two or three radix passes, on both corpora. K clamps
+// to MaxBuckets and the scatter is a single pass straight into the
+// buckets; the fold must still match ground truth.
+func TestKernelMultiPassDeep(t *testing.T) {
+	for _, mk := range []func(*testing.T, int) *DB{makeDB, zipfDB} {
+		db := mk(t, 4000)
+		want := db.ExpectedStats()
+		for _, alg := range []join.Algorithm{join.Grace, join.HybridHash} {
+			for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+				tel := &JoinTelemetry{}
+				got, err := db.Run(JoinRequest{
+					Algorithm: alg,
+					K:         300,
+					Workers:   w,
+					Telemetry: tel,
+				})
+				if err != nil {
+					t.Fatalf("%v w=%d: %v", alg, w, err)
+				}
+				if got != want {
+					t.Fatalf("%v w=%d: got %+v want %+v", alg, w, got, want)
+				}
+				if passes := tel.RadixPasses.Load(); passes != 1 {
+					t.Fatalf("%v w=%d: %d scatter passes", alg, w, passes)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelGridUnderGrant re-runs the bucketed joins with a grant
 // small enough to force restaging and hot-key streaming, so the batched
 // kernels are also exercised on the spill paths.
 func TestKernelGridUnderGrant(t *testing.T) {
 	db := zipfDB(t, 6000)
 	want := db.ExpectedStats()
 	for _, alg := range []join.Algorithm{join.Grace, join.HybridHash} {
-		for _, bits := range []int{4, 8} {
-			for _, batch := range []int{1, 64} {
-				var tel JoinTelemetry
-				got, err := db.Run(JoinRequest{
-					Algorithm:  alg,
-					K:          40,
-					RadixBits:  bits,
-					ProbeBatch: batch,
-					MemGrant:   32 << 10,
-					Telemetry:  &tel,
-				})
-				if err != nil {
-					t.Fatalf("%v bits=%d batch=%d: %v", alg, bits, batch, err)
-				}
-				if got != want {
-					t.Fatalf("%v bits=%d batch=%d: got %+v want %+v", alg, bits, batch, got, want)
-				}
-				if peak, grant := tel.PeakTableBytes.Load(), int64(32<<10); peak > grant {
-					t.Fatalf("%v bits=%d batch=%d: peak %d exceeds grant %d", alg, bits, batch, peak, grant)
-				}
+		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+			var tel JoinTelemetry
+			got, err := db.Run(JoinRequest{
+				Algorithm: alg,
+				K:         40,
+				Workers:   w,
+				MemGrant:  32 << 10,
+				Telemetry: &tel,
+			})
+			if err != nil {
+				t.Fatalf("%v w=%d: %v", alg, w, err)
+			}
+			if got != want {
+				t.Fatalf("%v w=%d: got %+v want %+v", alg, w, got, want)
+			}
+			if peak, grant := tel.PeakTableBytes.Load(), int64(32<<10); peak > grant {
+				t.Fatalf("%v w=%d: peak %d exceeds grant %d", alg, w, peak, grant)
 			}
 		}
 	}
 }
 
-// TestKernelFlatMatchesMap is the differential gate between the two
-// probe kernels on identical bucket files: flat table at every batch
-// width vs the legacy Go map vs ground truth.
-func TestKernelFlatMatchesMap(t *testing.T) {
+// TestKernelFlatMatchesExpected probes materialized bucket files through
+// the flat table and checks the fold against ground truth.
+func TestKernelFlatMatchesExpected(t *testing.T) {
 	for _, mk := range []func(*testing.T, int) *DB{makeDB, zipfDB} {
 		db := mk(t, 5000)
 		want := db.ExpectedStats()
@@ -131,13 +178,8 @@ func TestKernelFlatMatchesMap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := bs.ProbeMap(); got != want {
-			t.Fatalf("ProbeMap: got %+v want %+v", got, want)
-		}
-		for _, batch := range []int{1, 16, 64} {
-			if got := bs.ProbeFlat(batch); got != want {
-				t.Fatalf("ProbeFlat(%d): got %+v want %+v", batch, got, want)
-			}
+		if got := bs.ProbeFlat(); got != want {
+			t.Fatalf("ProbeFlat: got %+v want %+v", got, want)
 		}
 		bs.Close()
 	}
@@ -153,35 +195,47 @@ func TestKernelProbeFlatZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bs.Close()
-	bs.ProbeFlat(0) // warm the arena
-	if allocs := testing.AllocsPerRun(5, func() { bs.ProbeFlat(0) }); allocs != 0 {
+	bs.ProbeFlat() // warm the arena
+	if allocs := testing.AllocsPerRun(5, func() { bs.ProbeFlat() }); allocs != 0 {
 		t.Fatalf("steady-state ProbeFlat allocates %.1f times per pass", allocs)
 	}
 }
 
-// TestKernelRadixPlan pins the pass structure the executor and the cost
-// model must agree on.
+// TestKernelRadixPlan pins the bucket plan the executor and the cost
+// model agree on: one scatter pass into min(K, maxK()) buckets, where
+// maxK() is one bucket per expected partition reference capped at
+// MaxBuckets, whether K is explicit or derived from MRproc.
 func TestKernelRadixPlan(t *testing.T) {
+	big := makeDB(t, 4000)  // 1000 references per partition
+	small := makeDB(t, 400) // 100 references per partition
 	cases := []struct {
-		k, bits int
-		passes  int
-		span    int64
+		db     *DB
+		k      int
+		mrproc int64
+		want   int
 	}{
-		{1, 8, 1, 1},
-		{256, 8, 1, 1},
-		{257, 8, 2, 256},
-		{65536, 8, 2, 256},
-		{65537, 8, 3, 65536},
-		{16, 4, 1, 1},
-		{17, 4, 2, 16},
-		{300, 4, 3, 256},
-		{300, 12, 1, 1},
+		{big, 1, 0, 1},
+		{big, 256, 0, 256},
+		{big, 257, 0, 256},
+		{big, 300, 0, 256},
+		{big, 65537, 0, 256},
+		{big, 0, 0, 1},
+		// ⌈1.2·1000·64/MRproc⌉ buckets before the cap.
+		{big, 0, 64000, 2},
+		{big, 0, 1024, 75},
+		{big, 0, 256, 256},
+		{small, 300, 0, 100},
+		{small, 0, 256, 30},
+		{small, 0, 64, 100},
 	}
 	for _, c := range cases {
-		passes, span := radixPlan(c.k, c.bits)
-		if passes != c.passes || span != c.span {
-			t.Errorf("radixPlan(%d, %d) = (%d, %d), want (%d, %d)",
-				c.k, c.bits, passes, span, c.passes, c.span)
+		req := JoinRequest{Algorithm: join.Grace, K: c.k, MRproc: c.mrproc}
+		if err := req.withDefaults(c.db); err != nil {
+			t.Fatal(err)
+		}
+		if req.K != c.want {
+			t.Errorf("|R|/D=%d K=%d MRproc=%d: %d buckets, want %d",
+				c.db.CountR()/c.db.D, c.k, c.mrproc, req.K, c.want)
 		}
 	}
 }
@@ -233,9 +287,10 @@ func TestKernelRangeTasksNoEmptyMorsels(t *testing.T) {
 	}
 }
 
-// TestKernelSharedPoolGrid runs the grid's extremes on one shared pool
-// to confirm the pipelined sort-merge job and the radix refine tasks
-// coexist with other joins on the same workers.
+// TestKernelSharedPoolGrid runs sort-merge and Grace at the bucket cap
+// (K=300 clamps to MaxBuckets) on one shared pool to confirm the
+// pipelined sort-merge job and the bucket probe tasks coexist with
+// other joins on the same workers.
 func TestKernelSharedPoolGrid(t *testing.T) {
 	db := makeDB(t, 6000)
 	want := db.ExpectedStats()
@@ -248,7 +303,6 @@ func TestKernelSharedPoolGrid(t *testing.T) {
 			got, err := db.Run(JoinRequest{
 				Algorithm: alg,
 				K:         300,
-				RadixBits: 4,
 				TmpDir:    t.TempDir(),
 				Pool:      p,
 			})

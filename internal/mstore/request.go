@@ -69,17 +69,6 @@ type JoinRequest struct {
 	// to restaging; everything obtained is given back when Run returns.
 	Negotiator GrantNegotiator
 
-	// RadixBits bounds one partitioning pass of the bucketed joins to
-	// 2^RadixBits destination buckets; a K beyond that partitions in
-	// multiple cache-sized passes. 0 selects the default (8); values
-	// above 16 are clamped.
-	RadixBits int
-
-	// ProbeBatch is the gather width of the batched probe kernels: how
-	// many S-side reads one batch issues ahead of the join stage. 0
-	// selects the default (64, also the maximum).
-	ProbeBatch int
-
 	// TmpDir holds the temporary partition/bucket relations; "" creates
 	// a fresh per-call directory under the db dir (removed on return).
 	// An explicit TmpDir must be unique per concurrent Run call: bucket
@@ -126,23 +115,16 @@ func (req *JoinRequest) withDefaults(db *DB) error {
 	if req.MRproc < 0 {
 		return fmt.Errorf("mstore: negative memory grant %d", req.MRproc)
 	}
-	if req.RadixBits < 0 {
-		return fmt.Errorf("mstore: negative radix bits %d", req.RadixBits)
-	}
-	if req.ProbeBatch < 0 {
-		return fmt.Errorf("mstore: negative probe batch %d", req.ProbeBatch)
-	}
 	if req.Fuzz == 0 {
 		req.Fuzz = 1.2
 	}
 	if req.K <= 0 {
 		req.K = db.deriveK(req.MRproc, req.Fuzz)
 	} else if max := db.maxK(); req.K > max {
-		// Bucket state (D·K index slices, D·K temp relations) is sized
-		// directly by K and is not covered by the MRproc grant, so an
-		// explicit K is clamped to the same per-partition reference
-		// ceiling deriveK enforces: buckets beyond the number of
-		// references a partition can hold never pay for themselves.
+		// Bucket state (D·K count slots, up to D·K live temp relations)
+		// is sized directly by K and is not covered by the MRproc grant,
+		// so an explicit K is clamped to the same ceiling deriveK
+		// enforces.
 		req.K = max
 	}
 	if req.ResidentFrac == 0 {
@@ -173,13 +155,18 @@ func (db *DB) deriveK(mrproc int64, fuzz float64) int {
 	return k
 }
 
+// MaxBuckets caps the Grace/hybrid-hash bucket count K per S
+// partition. The bucketed joins scatter once, straight into their
+// buckets, so a join holds at most D·MaxBuckets live temp segments —
+// each an open fd plus a mapping. A bucket that outgrows the probe
+// grant at this cap is split by the restage path (probeEnv.restage).
+// The model's urn-model thrash fan-out mirrors this cap.
+const MaxBuckets = 256
+
 // maxK is the largest useful bucket count: one bucket per expected
-// reference in a partition (at least 1).
+// reference in a partition (at least 1), capped at MaxBuckets.
 func (db *DB) maxK() int {
-	if k := db.CountR() / db.D; k > 1 {
-		return k
-	}
-	return 1
+	return min(max(db.CountR()/db.D, 1), MaxBuckets)
 }
 
 // deriveResidentFrac sizes the hybrid-hash resident prefix: the share of
@@ -262,28 +249,21 @@ func (db *DB) Run(req JoinRequest) (JoinStats, error) {
 		p = exec.NewPool(req.Workers)
 		defer p.Close()
 	}
-	kc := kernelConfig{radixBits: req.RadixBits, probeBatch: req.ProbeBatch}
+	lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
+	defer lim.close()
 	switch req.Algorithm {
 	case join.NestedLoops:
-		return db.nestedLoops(ctx, p, req.TmpDir, kc)
+		return db.nestedLoops(ctx, p, req.TmpDir, lim)
 	case join.SortMerge:
-		return db.sortMerge(ctx, p, req.TmpDir, kc)
+		return db.sortMerge(ctx, p, req.TmpDir, lim)
 	case join.Grace:
-		lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
-		defer lim.close()
-		return db.grace(ctx, p, req.TmpDir, req.K, kc, lim)
+		return db.grace(ctx, p, req.TmpDir, req.K, lim)
 	case join.IndexNL:
-		lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
-		defer lim.close()
-		return db.indexNL(ctx, p, kc, lim)
+		return db.indexNL(ctx, p, lim)
 	case join.IndexMerge:
-		lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
-		defer lim.close()
-		return db.indexMerge(ctx, p, kc, lim)
+		return db.indexMerge(ctx, p, lim)
 	default: // join.HybridHash, by withDefaults
-		lim := newMemLimiter(req.grantBudget(db), req.Negotiator, req.Telemetry)
-		defer lim.close()
-		return db.hybridHash(ctx, p, req.TmpDir, req.K, req.ResidentFrac, kc, lim)
+		return db.hybridHash(ctx, p, req.TmpDir, req.K, req.ResidentFrac, lim)
 	}
 }
 

@@ -120,3 +120,29 @@ func TestWorkloadMirrorsStoredPointers(t *testing.T) {
 		t.Errorf("uniform db skew = %g", skew)
 	}
 }
+
+// TestTempFilesCountedPerAlgorithm pins JoinTelemetry.TempFiles for each
+// staging operator on a uniform store where every (R partition, S
+// partition) pair and every bucket is non-empty: nested loops writes one
+// RP<i,j> per off-partition pair, sort-merge one RS<j> and one SRT<j>
+// per partition, and Grace/hybrid-hash one file per bucket.
+func TestTempFilesCountedPerAlgorithm(t *testing.T) {
+	db := makeDB(t, 4000)
+	d, k := int64(db.D), int64(4)
+	for alg, want := range map[join.Algorithm]int64{
+		join.NestedLoops: d * (d - 1),
+		join.SortMerge:   2 * d,
+		join.Grace:       d * k,
+		join.HybridHash:  d * k,
+	} {
+		tel := &JoinTelemetry{}
+		if _, err := db.Run(JoinRequest{
+			Algorithm: alg, K: int(k), ResidentFrac: -1, MemGrant: -1, Telemetry: tel,
+		}); err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if got := tel.TempFiles.Load(); got != want {
+			t.Errorf("%v: %d temp files, want %d", alg, got, want)
+		}
+	}
+}

@@ -21,7 +21,11 @@ import (
 // Grace bucket holds ~50% of R no matter what K says.
 func zipfDB(t *testing.T, nr int) *DB {
 	t.Helper()
-	db := makeDB(t, nr)
+	return hotKeyHalf(makeDB(t, nr))
+}
+
+// hotKeyHalf applies zipfDB's rewrite to an existing db.
+func hotKeyHalf(db *DB) *DB {
 	hot := SPtr{Part: 0, Off: db.S[0].PtrAt(0)}
 	n, u := 0, 0
 	for _, ri := range db.R {

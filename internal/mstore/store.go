@@ -104,7 +104,6 @@ type ShardJoinStat struct {
 	RestagedRefs   int64
 	StreamProbes   int64
 	Renegotiations int64
-	RadixPasses    int64
 	PeakTableBytes int64
 	TempFiles      int64
 }

@@ -58,7 +58,7 @@ func FuzzJoinDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		started := joinsStarted.Load()
-		resp, err := ts.Client().Post(ts.URL+"/join", "application/json", bytes.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+"/v1/join", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("transport error (handler died?): %v", err)
 		}
@@ -97,7 +97,7 @@ func FuzzLookupDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, part, index string) {
 		q := url.Values{"part": {part}, "index": {index}}
-		resp, err := ts.Client().Get(ts.URL + "/lookup?" + q.Encode())
+		resp, err := ts.Client().Get(ts.URL + "/v1/lookup?" + q.Encode())
 		if err != nil {
 			t.Fatalf("transport error (handler died?): %v", err)
 		}

@@ -244,7 +244,7 @@ func New(cfg Config) (*Server, error) {
 		"lookups_failed", "lookups_rejected_draining",
 		"join_executed_nested-loops", "join_executed_sort-merge",
 		"join_executed_grace", "join_executed_hybrid-hash", "join_executed_auto",
-		"radix_passes_total", "shard_adds_total", "shard_removes_total",
+		"shard_adds_total", "shard_removes_total",
 	} {
 		s.counter(name)
 	}
@@ -341,20 +341,17 @@ func (s *Server) add(name string, d int64) {
 	s.mu.Unlock()
 }
 
-// Handler returns the service's HTTP mux. The surface is versioned
+// Handler returns the service's HTTP mux. The whole surface lives
 // under /v1/ — POST /v1/join, GET /v1/lookup, GET /v1/stats,
-// GET /v1/healthz, and shard management under /v1/shards — with the
-// original unversioned paths kept as aliases for existing clients.
-// Every handler runs behind panic isolation — a panicking request
-// answers 500 and the server keeps serving.
+// GET /v1/healthz, and shard management under /v1/shards. Every
+// handler runs behind panic isolation — a panicking request answers
+// 500 and the server keeps serving.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("POST "+prefix+"/join", s.handleJoin)
-		mux.HandleFunc("GET "+prefix+"/lookup", s.handleLookup)
-		mux.HandleFunc("GET "+prefix+"/stats", s.handleStats)
-		mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
-	}
+	mux.HandleFunc("POST /v1/join", s.handleJoin)
+	mux.HandleFunc("GET /v1/lookup", s.handleLookup)
+	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/shards", s.handleShardsList)
 	mux.HandleFunc("POST /v1/shards", s.handleShardsAdd)
 	mux.HandleFunc("DELETE /v1/shards/{id}", s.handleShardsRemove)
@@ -446,7 +443,6 @@ type JoinResponse struct {
 	Restages       int64 `json:"restages,omitempty"`       // oversized buckets respilled to disk
 	StreamProbes   int64 `json:"streamProbes,omitempty"`   // hot-key buckets joined by streaming
 	Renegotiations int64 `json:"renegotiations,omitempty"` // mid-join grant growths obtained
-	RadixPasses    int64 `json:"radixPasses,omitempty"`    // cache-conscious partitioning passes
 	PeakTableBytes int64 `json:"peakTableBytes,omitempty"` // high-water counted probe memory
 
 	// Shards carries the per-shard breakdown of a scatter-gather join
@@ -466,7 +462,6 @@ type ShardJoinDetail struct {
 	Restages       int64  `json:"restages,omitempty"`
 	StreamProbes   int64  `json:"streamProbes,omitempty"`
 	Renegotiations int64  `json:"renegotiations,omitempty"`
-	RadixPasses    int64  `json:"radixPasses,omitempty"`
 	PeakTableBytes int64  `json:"peakTableBytes,omitempty"`
 	TempFiles      int64  `json:"tempFiles,omitempty"`
 }
@@ -681,7 +676,6 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 		resp.Restages = tel.Restages.Load()
 		resp.StreamProbes = tel.StreamProbes.Load()
 		resp.Renegotiations = tel.Renegotiations.Load()
-		resp.RadixPasses = tel.RadixPasses.Load()
 		resp.PeakTableBytes = tel.PeakTableBytes.Load()
 		for _, det := range out.details {
 			resp.Shards = append(resp.Shards, ShardJoinDetail{
@@ -689,8 +683,7 @@ func (s *Server) handleJoin(rw http.ResponseWriter, r *http.Request) {
 				Pairs: det.Pairs, Signature: fmt.Sprintf("%016x", det.Signature),
 				ElapsedNs: det.ElapsedNs, Restages: det.Restages,
 				StreamProbes: det.StreamProbes, Renegotiations: det.Renegotiations,
-				RadixPasses: det.RadixPasses, PeakTableBytes: det.PeakTableBytes,
-				TempFiles: det.TempFiles,
+				PeakTableBytes: det.PeakTableBytes, TempFiles: det.TempFiles,
 			})
 		}
 		writeJSON(rw, http.StatusOK, resp)
@@ -710,7 +703,6 @@ func (s *Server) foldTelemetry(tel *mstore.JoinTelemetry) {
 	s.add("grant_renegotiations_total", tel.Renegotiations.Load())
 	s.add("grant_renegotiations_denied_total", tel.RenegotiationsDenied.Load())
 	s.add("temp_relations_total", tel.TempFiles.Load())
-	s.add("radix_passes_total", tel.RadixPasses.Load())
 	for {
 		peak := tel.PeakTableBytes.Load()
 		cur := s.peakTableBytes.Load()

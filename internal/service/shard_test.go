@@ -159,30 +159,27 @@ func TestShardedServiceLookup(t *testing.T) {
 	}
 }
 
-// TestShardedServiceStats checks /v1/stats carries the per-shard layout
-// and that the legacy /stats alias serves the same document.
+// TestShardedServiceStats checks /v1/stats carries the per-shard layout.
 func TestShardedServiceStats(t *testing.T) {
 	_, ts, _, _ := newShardedServer(t, 600, Config{})
-	for _, path := range []string{"/v1/stats", "/stats"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st Stats
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		resp.Body.Close()
-		if st.DB.Kind != "sharded" || len(st.DB.Shards) != 3 {
-			t.Fatalf("%s: kind %q with %d shards", path, st.DB.Kind, len(st.DB.Shards))
-		}
-		var nr int
-		for _, sh := range st.DB.Shards {
-			nr += sh.NR
-		}
-		if nr != 600 || st.DB.NR != 600 {
-			t.Fatalf("%s: shard NR sum %d, total %d, want 600", path, nr, st.DB.NR)
-		}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.DB.Kind != "sharded" || len(st.DB.Shards) != 3 {
+		t.Fatalf("kind %q with %d shards", st.DB.Kind, len(st.DB.Shards))
+	}
+	var nr int
+	for _, sh := range st.DB.Shards {
+		nr += sh.NR
+	}
+	if nr != 600 || st.DB.NR != 600 {
+		t.Fatalf("shard NR sum %d, total %d, want 600", nr, st.DB.NR)
 	}
 }
 
@@ -311,33 +308,35 @@ func TestShardedServiceNotSharded(t *testing.T) {
 	}
 }
 
-// TestShardedServiceVersionedAliases checks the /v1 and legacy paths
-// serve the same handlers.
+// TestShardedServiceVersionedAliases checks the surface is /v1 only:
+// the versioned routes answer and the former unversioned aliases 404.
 func TestShardedServiceVersionedAliases(t *testing.T) {
 	_, ts, _, want := newShardedServer(t, 600, Config{})
-	for _, path := range []string{"/join", "/v1/join"} {
-		body, _ := json.Marshal(JoinRequest{Algorithm: "sort-merge"})
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jr JoinResponse
-		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		resp.Body.Close()
-		if jr.Pairs != want.Pairs {
-			t.Fatalf("%s: pairs %d, want %d", path, jr.Pairs, want.Pairs)
-		}
+	body, _ := json.Marshal(JoinRequest{Algorithm: "sort-merge"})
+	resp, err := http.Post(ts.URL+"/v1/join", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
+	var jr JoinResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if jr.Pairs != want.Pairs {
+		t.Fatalf("/v1/join: pairs %d, want %d", jr.Pairs, want.Pairs)
+	}
+	for path, code := range map[string]int{
+		"/v1/healthz": http.StatusOK,
+		"/join":       http.StatusNotFound, "/lookup": http.StatusNotFound,
+		"/stats": http.StatusNotFound, "/healthz": http.StatusNotFound,
+	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		if resp.StatusCode != code {
+			t.Fatalf("%s: status %d, want %d", path, resp.StatusCode, code)
 		}
 	}
 }

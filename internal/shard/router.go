@@ -338,7 +338,6 @@ func (r *Router) RunShards(req mstore.JoinRequest) (mstore.JoinStats, []mstore.S
 					RestagedRefs:   tel.RestagedRefs.Load(),
 					StreamProbes:   tel.StreamProbes.Load(),
 					Renegotiations: tel.Renegotiations.Load(),
-					RadixPasses:    tel.RadixPasses.Load(),
 					PeakTableBytes: tel.PeakTableBytes.Load(),
 					TempFiles:      tel.TempFiles.Load(),
 				},
